@@ -754,20 +754,7 @@ pub fn differential_validate_pinned(
                         reason: format!("compensation failed on a live frame: {e}"),
                     }
                 })?;
-                let loc = landing.loc;
-                let block = dst_fn.block_of(loc).expect("validated landing is live");
-                let index = dst_fn
-                    .block(block)
-                    .insts
-                    .iter()
-                    .position(|i| *i == loc)
-                    .expect("landing is in its block");
-                let mut dframe = Frame {
-                    values: env,
-                    block,
-                    index,
-                    came_from: None,
-                };
+                let mut dframe = Frame::at(dst_fn, landing.loc, env);
                 let got = match run_frame(dst_fn, &mut dframe, &mut machine, module, None) {
                     Ok(StepOutcome::Returned(v)) => v,
                     Ok(StepOutcome::Paused { .. }) => unreachable!("no pause predicate"),
@@ -864,17 +851,6 @@ pub fn vet_generic_escape(
         }
     }
     Some(pins)
-}
-
-/// The historical name for [`vet_generic_escape`]: the mechanism was
-/// introduced for value speculation's same-rung round trip and is now
-/// the one vetted generic-escape path any assumption kind can request.
-pub fn vet_value_roundtrip(
-    fwd_entry: &ssair::reconstruct::SsaEntry,
-    escape_entry: &ssair::reconstruct::SsaEntry,
-    base: &Function,
-) -> Option<Vec<(ValueId, Val)>> {
-    vet_generic_escape(fwd_entry, escape_entry, base)
 }
 
 /// State of one cache slot.
@@ -1855,21 +1831,21 @@ mod tests {
                 dst: id(1),
             },
         ]);
-        assert_eq!(vet_value_roundtrip(&fwd, &ok, base), Some(vec![]));
+        assert_eq!(vet_generic_escape(&fwd, &ok, base), Some(vec![]));
         // Reads the *renamed* transfer's destination: the real value is
         // there but under a different id — rejected.
         let renamed = entry(vec![CompStep::Transfer {
             src: id(20),
             dst: id(20),
         }]);
-        assert_eq!(vet_value_roundtrip(&fwd, &renamed, base), None);
+        assert_eq!(vet_generic_escape(&fwd, &renamed, base), None);
         // Reads a value the forward leg never provided at all: rejected
         // (it could only come from the specialized version's mappings).
         let unprovided = entry(vec![CompStep::Transfer {
             src: id(11),
             dst: id(11),
         }]);
-        assert_eq!(vet_value_roundtrip(&fwd, &unprovided, base), None);
+        assert_eq!(vet_generic_escape(&fwd, &unprovided, base), None);
     }
 
     #[test]

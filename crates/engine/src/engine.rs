@@ -40,11 +40,6 @@ pub struct EnginePolicy {
     pub compile_workers: usize,
     /// Request-execution workers per session (and per `run_batch`).
     pub batch_workers: usize,
-    /// Transition mechanics (variant, continuation vs frame surgery) for
-    /// run-to-completion tier-ups; ladder hops always use frame surgery.
-    pub options: TransitionOptions,
-    /// Tier-down policy for debugger-attach requests.
-    pub deopt: DeoptPolicy,
     /// Interpreter fuel per request.
     pub fuel: usize,
     /// Maximum requests waiting (submitted but not yet picked up by a
@@ -95,14 +90,6 @@ impl EnginePolicy {
             ..EnginePolicy::default()
         }
     }
-
-    /// A single-rung ladder (the pre-ladder engine behaviour).
-    pub fn single_tier(spec: PipelineSpec, after: u64) -> Self {
-        EnginePolicy {
-            tiers: Arc::new(LadderPolicy::single(spec, after)),
-            ..EnginePolicy::default()
-        }
-    }
 }
 
 impl Default for EnginePolicy {
@@ -111,8 +98,6 @@ impl Default for EnginePolicy {
             tiers: Arc::new(LadderPolicy::default()),
             compile_workers: 2,
             batch_workers: 4,
-            options: TransitionOptions::default(),
-            deopt: DeoptPolicy::default(),
             fuel: 50_000_000,
             queue_depth: 1024,
             layout: true,
@@ -279,7 +264,6 @@ impl Engine {
         let events = Arc::new(EventLog::default());
         let pool = CompilerPool::new(
             policy.compile_workers,
-            policy.options.variant,
             Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(&events),
@@ -482,9 +466,12 @@ impl EngineCore {
         match req.mode {
             ExecMode::Tiered => {
                 let mut controller = EngineController::new(self, &req.function, base, &req.args);
-                let outcome =
-                    self.vm
-                        .run_tiered(base, &req.args, &self.policy.options, &mut controller);
+                // The controller only ever asks for ladder hops and inline
+                // exits, which `TransitionOptions` does not affect.
+                let options = TransitionOptions::default();
+                let outcome = self
+                    .vm
+                    .run_tiered(base, &req.args, &options, &mut controller);
                 // Observations since the last instrumented visit still
                 // belong to the shared speculation profile — even when the
                 // request itself failed (e.g. fuel exhaustion).
@@ -511,11 +498,13 @@ impl EngineCore {
                     return Ok(self.vm.run_plain(base, &req.args)?);
                 };
                 let cv = self.ensure_compiled(&CacheKey::new(&req.function, spec), base);
-                let (value, events) = self.vm.run_with_deopt_table(
+                // The cache's own artifacts ride the decision as `Arc`s:
+                // nothing is copied per request.
+                let (value, events) = self.vm.run_with_deopt(
                     &cv.versions,
                     &req.args,
-                    &self.policy.deopt,
-                    &cv.tier_down,
+                    &DeoptPolicy::default(),
+                    Some(&cv.tier_down),
                 )?;
                 let labels = vec![
                     HopLabel {
@@ -713,7 +702,6 @@ impl EngineCore {
                     &self.cache,
                     &self.metrics,
                     &self.events,
-                    self.policy.options.variant,
                 );
                 return self
                     .cache

@@ -72,7 +72,8 @@
 //! models a debugger attach (§7): it runs the *top*-rung version and
 //! tiers down to the baseline through the precomputed backward table at
 //! the first instrumented visit, where every source variable is
-//! inspectable.
+//! inspectable.  The cache's own `Arc`s (version pair and table) ride the
+//! decision; no artifact is copied per request.
 //!
 //! # The machine rung (O4)
 //!

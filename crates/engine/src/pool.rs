@@ -160,7 +160,6 @@ impl CompilerPool {
     /// `cache`.
     pub fn new(
         workers: usize,
-        variant: Variant,
         cache: Arc<CodeCache>,
         metrics: Arc<EngineMetrics>,
         events: Arc<EventLog>,
@@ -174,7 +173,7 @@ impl CompilerPool {
                 let events = Arc::clone(&events);
                 std::thread::Builder::new()
                     .name(format!("osr-compile-{i}"))
-                    .spawn(move || worker_loop(&queue, &cache, &metrics, &events, variant))
+                    .spawn(move || worker_loop(&queue, &cache, &metrics, &events))
                     .expect("spawn compile worker")
             })
             .collect();
@@ -207,23 +206,16 @@ fn worker_loop(
     cache: &CodeCache,
     metrics: &EngineMetrics,
     events: &EventLog,
-    variant: Variant,
 ) {
     while let Some(job) = queue.pop() {
-        run_job(job, cache, metrics, events, variant);
+        run_job(job, cache, metrics, events);
     }
 }
 
 /// Compiles one job and publishes (or abandons) its cache slot.  Shared
 /// with the engine's synchronous compile path for debugger-attach
 /// requests.
-pub fn run_job(
-    job: CompileJob,
-    cache: &CodeCache,
-    metrics: &EngineMetrics,
-    events: &EventLog,
-    variant: Variant,
-) {
+pub fn run_job(job: CompileJob, cache: &CodeCache, metrics: &EngineMetrics, events: &EventLog) {
     use std::sync::atomic::Ordering;
     let function = job.key.function.clone();
     let label = job.key.pipeline_label();
@@ -232,7 +224,8 @@ pub fn run_job(
         &job.key.pipeline,
         &job.key.speculation(),
         job.profile.as_ref(),
-        variant,
+        // The one reconstruction variant every engine table is built with.
+        Variant::Avail,
         job.sites,
         job.key.inline_spec(),
     ) {
@@ -279,7 +272,6 @@ mod tests {
         let events = Arc::new(EventLog::default());
         let pool = CompilerPool::new(
             2,
-            Variant::Avail,
             Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(&events),

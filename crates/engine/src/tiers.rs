@@ -397,12 +397,6 @@ impl LadderPolicy {
             (PipelineSpec::O2, o2_after),
         ])
     }
-
-    /// A single-rung chain (the pre-ladder engine behaviour): `spec`
-    /// once baseline visits reach `after`.
-    pub fn single(spec: PipelineSpec, after: u64) -> Self {
-        LadderPolicy::new(vec![(spec, after)])
-    }
 }
 
 impl Default for LadderPolicy {

@@ -163,6 +163,29 @@ impl Frame {
         }
     }
 
+    /// Creates a frame of `f` holding `values`, positioned so that `loc`
+    /// is the next instruction to execute — the frame-surgery constructor
+    /// every OSR landing uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` is not a live instruction of `f`.
+    pub fn at(f: &Function, loc: InstId, values: BTreeMap<ValueId, Val>) -> Frame {
+        let block = f.block_of(loc).expect("frame location is live");
+        let index = f
+            .block(block)
+            .insts
+            .iter()
+            .position(|i| *i == loc)
+            .expect("a live instruction is in its block");
+        Frame {
+            values,
+            block,
+            index,
+            came_from: None,
+        }
+    }
+
     /// Reads a computed value.
     pub fn get(&self, v: ValueId) -> Result<Val, ExecError> {
         self.values

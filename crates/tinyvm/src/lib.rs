@@ -7,10 +7,20 @@
 //!   continuation function: a specialization of the target version whose
 //!   unique entry is the OSR landing point, with unreachable blocks pruned
 //!   (§5.4);
-//! * [`runtime::Vm`] interprets the baseline version with hotness
-//!   profiling, fires an optimizing OSR at a loop header once it becomes
-//!   hot — generating compensation code on demand via `reconstruct` — and
-//!   can likewise fire deoptimizing transitions;
+//! * [`runtime::Vm::run_tiered`] is the one execution loop: it runs a
+//!   version — on the SSA interpreter or on its register-machine artifact —
+//!   under a [`profile::TierController`], and serves every
+//!   [`profile::TierDecision`] the controller returns through one handler
+//!   and one landing routine: look the paused point up in an entry table
+//!   (precomputed, composed, or reconstructed on demand), run the
+//!   compensation code on the live state, resume at the landing.  Ladder
+//!   hops in either direction, cross-function inline exits and
+//!   run-to-completion transitions differ only in what follows the
+//!   landing;
+//! * [`runtime::Vm::run_with_osr`] and [`runtime::Vm::run_with_deopt`] are
+//!   that loop under a fixed-threshold controller: an optimizing OSR at a
+//!   hot loop header, and the deoptimizing transition a debugger attach
+//!   triggers (§7);
 //! * every transition is recorded as an [`runtime::OsrEvent`] for
 //!   inspection and testing.
 //!

@@ -6,17 +6,19 @@
 //! [`loop_header_points`] (the first non-φ instruction of every loop
 //! header, where HotSpot and Jikes place their counters, §8 of the paper).
 //! Each visit is counted by a [`HotnessProfiler`] and reported to a
-//! [`TierController`], which decides whether to keep interpreting or to
-//! attempt an optimizing OSR into a prepared [`FunctionVersions`] pair.
+//! [`TierController`], which answers with a [`TierDecision`]: keep
+//! interpreting, or take one transition — between the halves of a prepared
+//! [`FunctionVersions`] pair, or along a tier ladder.
 //!
-//! Two controllers ship with the crate:
+//! Two kinds of controller exist:
 //!
-//! * [`ThresholdController`] — the classic single-function policy: fire at
-//!   a fixed visit count (this is what [`crate::runtime::Vm::run_with_osr`]
-//!   uses under the hood);
-//! * the `engine` crate implements its own controller that aggregates
-//!   counters across concurrent requests, compiles in the background, and
-//!   only fires once the shared code cache holds a ready version.
+//! * the fixed-threshold policies behind
+//!   [`crate::runtime::Vm::run_with_osr`] and
+//!   [`crate::runtime::Vm::run_with_deopt`] — the classic single-function
+//!   shape: fire at a fixed visit count, then run the target to completion;
+//! * the `engine` crate's controller, which aggregates counters across
+//!   concurrent requests, compiles in the background, and only fires once
+//!   the shared code cache holds a ready version.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -856,29 +858,40 @@ pub fn loop_header_points(f: &Function) -> Vec<InstId> {
 
 /// What a [`TierController`] tells the interpreter to do at an
 /// instrumented point.
+///
+/// Every non-[`Continue`](TierDecision::Continue) answer is the paper's
+/// one transition — look up the mapping at the current point, run the
+/// compensation code on the live state, resume at the landing — and
+/// [`crate::runtime::Vm::run_tiered`] serves all of them through one
+/// handler on either execution substrate.  The variants differ only in
+/// what happens *after* the landing: keep profiling the target
+/// ([`Transition`](TierDecision::Transition)), undo a call-site splice
+/// first ([`InlineExit`](TierDecision::InlineExit)), or run the target to
+/// its return ([`RunToCompletion`](TierDecision::RunToCompletion)).
 pub enum TierDecision {
     /// Keep interpreting the current version.
     Continue,
-    /// Attempt an optimizing OSR into the optimized half of the given
-    /// version pair, reconstructing compensation code on demand; if
-    /// infeasible at this point, interpretation continues and
-    /// [`TierController::on_infeasible`] is invoked.
-    TierUp(Arc<FunctionVersions>),
-    /// Like [`TierDecision::TierUp`], but serve the transition from a
-    /// precomputed [`EntryTable`] (as a shared code cache does) instead of
-    /// reconstructing at transition time.
-    TierUpPrecomputed(Arc<FunctionVersions>, Arc<EntryTable>),
-    /// Attempt a deoptimizing (backward) transition out of the optimized
-    /// half of the given version pair into its baseline, reconstructing
-    /// compensation code on demand; on success the baseline runs to
-    /// completion — the debugger-attach tier-down of §7.
-    TierDown(Arc<FunctionVersions>),
-    /// Like [`TierDecision::TierDown`], but serve the backward transition
-    /// from a precomputed [`EntryTable`].
-    TierDownPrecomputed(Arc<FunctionVersions>, Arc<EntryTable>),
+    /// Transition between the two halves of a version pair and run the
+    /// target to completion — the classic single OSR of §5.4 and §6.1
+    /// (`Forward`: an optimizing OSR out of `versions.base`) and the
+    /// debugger-attach tier-down of §7 (`Backward`: out of
+    /// `versions.opt`).  If the point is infeasible, execution continues
+    /// in the current version and [`TierController::on_infeasible`] is
+    /// invoked.
+    RunToCompletion {
+        /// The pair to move across; the frame must be running the half
+        /// that `direction` leaves.
+        versions: Arc<FunctionVersions>,
+        /// `Forward` leaves the baseline, `Backward` the optimized half.
+        direction: Direction,
+        /// Serve the transition from this precomputed table (as a shared
+        /// code cache does); `None` resolves the landing site and builds
+        /// the compensation code on demand, at transition time.
+        table: Option<Arc<EntryTable>>,
+    },
     /// Hop to an arbitrary program version through a precomputed (possibly
     /// composed, `fopt → fopt'`) entry table and *keep profiling there*:
-    /// unlike the `TierUp*`/`TierDown*` decisions, execution does not run
+    /// unlike [`TierDecision::RunToCompletion`], execution does not run
     /// to completion after the transition — the interpreter re-instruments
     /// the target version's OSR points and keeps consulting the
     /// controller, so a frame can climb a whole tier ladder, fall back off
@@ -1099,48 +1112,9 @@ impl HotnessProfiler {
     }
 }
 
-/// The classic fixed-threshold policy: attempt the OSR into a prepared
-/// version pair exactly when a point's visit count reaches the threshold.
-pub struct ThresholdController {
-    threshold: usize,
-    versions: Arc<FunctionVersions>,
-}
-
-impl ThresholdController {
-    /// Fires into `versions` once any instrumented point reaches
-    /// `threshold` visits.
-    pub fn new(threshold: usize, versions: Arc<FunctionVersions>) -> Self {
-        ThresholdController {
-            threshold,
-            versions,
-        }
-    }
-}
-
-impl TierController for ThresholdController {
-    fn observe(&mut self, _at: InstId, count: usize) -> TierDecision {
-        if count == self.threshold {
-            TierDecision::TierUp(Arc::clone(&self.versions))
-        } else {
-            TierDecision::Continue
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threshold_controller_fires_exactly_at_threshold() {
-        let m = minic::compile("fn id(x) { return x; }").unwrap();
-        let versions = Arc::new(FunctionVersions::standard(m.get("id").unwrap().clone()));
-        let mut c = ThresholdController::new(3, versions);
-        assert!(matches!(c.observe(InstId(0), 1), TierDecision::Continue));
-        assert!(matches!(c.observe(InstId(0), 2), TierDecision::Continue));
-        assert!(matches!(c.observe(InstId(0), 3), TierDecision::TierUp(_)));
-        assert!(matches!(c.observe(InstId(0), 4), TierDecision::Continue));
-    }
 
     #[test]
     fn profiler_counts_only_instrumented_points() {

@@ -1,28 +1,30 @@
 //! The VM: profiling interpretation with on-stack replacement.
 //!
 //! Profiling and tiering *policy* live in [`crate::profile`]; this module
-//! owns transition *mechanics*: landing-site resolution, compensation-code
-//! execution, and resuming in the target version (directly or through a
-//! generated continuation function).  The interpreter reports hotness to a
+//! owns transition *mechanics*, written once for every kind of transition
+//! and both execution substrates ([`Vm::run_tiered`]): capturing the live
+//! state, landing-site resolution, compensation-code execution, and
+//! resuming in the target version (directly or through a generated
+//! continuation function).  The loop reports hotness to a
 //! [`TierController`] and fires whatever the controller decides, which is
 //! how the `engine` crate plugs background compilation into the same loop.
 
-use std::cell::RefCell;
+use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::time::Instant;
 
 use ssair::feasibility::{landing_site, EntryTable, Landing};
 use ssair::interp::{run_frame, ExecError, Frame, Machine, StepOutcome, Val};
-use ssair::machine::{MachineArtifact, MachineStep};
+use ssair::machine::{MachineArtifact, MachineFrame, MachineStep};
 use ssair::reconstruct::{apply_comp, CompStep, Direction, SsaEntry, Variant};
-use ssair::{BlockId, Function, InstId, InstKind, Module, ValueDef, ValueId};
+use ssair::{Function, InstId, InstKind, Module, ValueDef, ValueId};
 
 use crate::continuation::extract_continuation;
 use crate::profile::{
-    EdgeObserver, HotnessProfiler, InlineExitTarget, TierController, TierDecision, TierTarget,
+    EdgeObserver, HotnessProfiler, InlineExitTarget, Tier, TierController, TierDecision, TierTarget,
 };
 use crate::FunctionVersions;
 
@@ -112,7 +114,7 @@ pub struct OsrEvent {
     /// Landing location (in the version being entered).
     pub to: InstId,
     /// Rung index of the version entered, as the controller numbers it
-    /// ([`TierTarget::rung`] for ladder hops; legacy run-to-completion
+    /// ([`TierTarget::rung`] for ladder hops; run-to-completion
     /// transitions land on `Tier(1)` forward and the baseline backward).
     pub rung: crate::profile::Tier,
     /// `|c|`: generated compensation instructions executed.
@@ -135,8 +137,7 @@ pub struct OsrEvent {
     /// assumption that was violated, copied from the controller's
     /// [`crate::profile::TierTarget::violated`] /
     /// [`crate::profile::InlineExitTarget::violated`].  `None` for climbs,
-    /// debugger-attach tier-downs, and legacy run-to-completion
-    /// transitions.
+    /// debugger-attach tier-downs, and run-to-completion transitions.
     pub violated: Option<crate::profile::AssumptionKind>,
 }
 
@@ -172,6 +173,24 @@ pub struct Vm {
     /// Functions callable from interpreted code.
     pub module: Module,
     fuel: usize,
+}
+
+/// The fixed-threshold policy behind [`Vm::run_with_osr`] and
+/// [`Vm::run_with_deopt`]: answers `fire()` exactly when a point's visit
+/// count reaches the threshold.
+struct Threshold<F> {
+    threshold: usize,
+    fire: F,
+}
+
+impl<F: FnMut() -> TierDecision> TierController for Threshold<F> {
+    fn observe(&mut self, _at: InstId, count: usize) -> TierDecision {
+        if count == self.threshold {
+            (self.fire)()
+        } else {
+            TierDecision::Continue
+        }
+    }
 }
 
 impl Vm {
@@ -210,58 +229,96 @@ impl Vm {
     ) -> Result<(Option<Val>, Vec<OsrEvent>), ExecError> {
         // Clone the version pair only if the threshold actually fires; cold
         // runs (threshold never reached) stay allocation-free.
-        struct LazyThreshold<'a> {
-            threshold: usize,
-            versions: &'a FunctionVersions,
-            cached: Option<Arc<FunctionVersions>>,
-        }
-        impl TierController for LazyThreshold<'_> {
-            fn observe(&mut self, _at: InstId, count: usize) -> TierDecision {
-                if count == self.threshold {
-                    let v = self
-                        .cached
-                        .get_or_insert_with(|| Arc::new(self.versions.clone()));
-                    TierDecision::TierUp(Arc::clone(v))
-                } else {
-                    TierDecision::Continue
-                }
-            }
-        }
-        let mut controller = LazyThreshold {
+        let mut shared: Option<Arc<FunctionVersions>> = None;
+        let mut controller = Threshold {
             threshold: policy.hotness_threshold,
-            versions,
-            cached: None,
+            fire: || TierDecision::RunToCompletion {
+                versions: Arc::clone(shared.get_or_insert_with(|| Arc::new(versions.clone()))),
+                direction: Direction::Forward,
+                table: None,
+            },
         };
         self.run_tiered(&versions.base, args, &policy.into(), &mut controller)
     }
 
-    /// The tiered-execution core — the single frame-surgery code path
-    /// every execution mode is built on.  Interprets `base`, counts visits
-    /// to the running version's loop-header OSR points, reports every
-    /// conditional-branch edge taken (the speculation-guard hook,
-    /// [`TierController::observe_edge`]), and consults `controller` at
-    /// each observation.
+    /// Runs the *optimized* version of `versions` and fires a deoptimizing
+    /// (tier-down) transition back into the baseline version once a
+    /// loop-header point of the optimized code has been visited
+    /// `policy.after_visits` times — the on-demand deoptimization a
+    /// debugger attach triggers (§7).  With `table` (direction `Backward`)
+    /// the transition is served from precomputed entries, the path a
+    /// shared code cache uses; without, compensation code is reconstructed
+    /// at transition time.  If no visited point admits a backward
+    /// transition, the optimized version simply runs to completion (no
+    /// event is recorded).
     ///
-    /// When the controller returns [`TierDecision::TierUp`] (or its
-    /// precomputed flavour), an optimizing transition into the supplied
-    /// version pair is attempted; on success the optimized version runs to
-    /// completion.  [`TierDecision::TierDown`] and its precomputed
-    /// flavour are the symmetric deoptimizing run-to-completion
-    /// transitions (the §7 debugger attach).  When the controller returns
-    /// [`TierDecision::Transition`], the frame hops into the target
-    /// version through the supplied (possibly composed) entry table via
-    /// direct frame surgery and *stays under profiling*: the target's OSR
-    /// points and branch edges are re-instrumented and the controller
-    /// keeps observing, so a frame can climb a whole tier ladder
-    /// (`O0 → O1 → O2 → …`), deopt back down mid-loop when a speculation
-    /// guard fails (the hop's [`TierTarget::direction`] marks it
-    /// `Backward`), and re-climb.  Infeasible attempts of any kind notify
-    /// [`TierController::on_infeasible`] and interpretation continues;
-    /// successful ladder hops notify [`TierController::on_transition`].
+    /// Pair and table are taken as `Arc`s because the decision hands them
+    /// to [`Vm::run_tiered`] as-is: a cache serving many requests shares
+    /// its artifacts instead of copying them per request.
     ///
     /// # Errors
     ///
     /// Propagates interpreter failures ([`ExecError`]).
+    pub fn run_with_deopt(
+        &self,
+        versions: &Arc<FunctionVersions>,
+        args: &[Val],
+        policy: &DeoptPolicy,
+        table: Option<&Arc<EntryTable>>,
+    ) -> Result<(Option<Val>, Vec<OsrEvent>), ExecError> {
+        let mut controller = Threshold {
+            threshold: policy.after_visits,
+            fire: || TierDecision::RunToCompletion {
+                versions: Arc::clone(versions),
+                direction: Direction::Backward,
+                table: table.cloned(),
+            },
+        };
+        self.run_tiered(&versions.opt, args, &policy.options, &mut controller)
+    }
+
+    /// The tiered-execution core — the single frame-surgery code path
+    /// every execution mode is built on: one event loop, one decision
+    /// handler and one landing routine, over either execution substrate.
+    ///
+    /// The loop enters a version (`base` first) — on the register machine
+    /// when the hop that led there carried an artifact accepting the frame
+    /// ([`TierTarget::machine`]), on the SSA interpreter otherwise — and
+    /// runs it until it returns or `controller` answers something other
+    /// than [`TierDecision::Continue`].  Both substrates observe alike, at
+    /// instruction boundaries: call sites and conditional-branch edges
+    /// taken where the controller asked for them
+    /// ([`TierController::observe_call`], and the speculation-guard hook
+    /// [`TierController::observe_edge`]), and counted visits to the running
+    /// version's loop-header OSR points ([`TierController::observe`]).
+    ///
+    /// Every decision is the paper's one transition and is served one way,
+    /// whichever substrate the frame was on: capture the SSA environment at
+    /// the paused point, look the point up in the decision's entry table,
+    /// run the compensation code on the live state, resume at the landing.
+    /// [`TierDecision::Transition`] and [`TierDecision::InlineExit`] land by
+    /// direct frame surgery and *stay under profiling*: the target's OSR
+    /// points and branch edges are re-instrumented, the controller is told
+    /// ([`TierController::on_transition`]) and keeps observing, so a frame
+    /// can climb a whole tier ladder (`O0 → O1 → O2 → …`), deopt back down
+    /// mid-loop when a speculation guard fails (a hop whose
+    /// [`TierTarget::direction`] is `Backward`), and re-climb.
+    /// [`TierDecision::RunToCompletion`] lands in the other half of a
+    /// version pair — directly or through a generated continuation
+    /// function, as `options` says — and runs it to its return.
+    ///
+    /// A decision that cannot be served at this point (no table entry,
+    /// compensation code that cannot execute, a register frame with no
+    /// location map here) notifies [`TierController::on_infeasible`], and
+    /// the current version resumes where it stopped without observing the
+    /// same physical visit a second time — unless the decision was
+    /// `mandatory`, which aborts the run instead.
+    ///
+    /// # Errors
+    ///
+    /// Propagates interpreter failures ([`ExecError`]), and reports a
+    /// mandatory hop that proved infeasible as
+    /// [`ExecError::MandatoryTransitionFailed`].
     pub fn run_tiered(
         &self,
         base: &Function,
@@ -269,636 +326,188 @@ impl Vm {
         options: &TransitionOptions,
         controller: &mut dyn TierController,
     ) -> Result<(Option<Val>, Vec<OsrEvent>), ExecError> {
-        enum Pending {
-            Legacy(Arc<FunctionVersions>, Option<Arc<EntryTable>>, Direction),
-            Ladder(TierTarget),
-            Inline(InlineExitTarget),
-        }
-
         let mut machine = Machine::new(self.fuel);
-        let mut frame = Frame::enter(base, args);
         let mut events = Vec::new();
         // The version currently executing: the borrowed baseline until the
-        // first ladder hop replaces it with a shared target version.
+        // first hop replaces it with a shared target version.
         let mut owned: Option<Arc<Function>> = None;
-        // The machine artifact backing the current version, if the last
-        // ladder hop supplied one ([`TierTarget::machine`]).  The frame
-        // runs on the machine substrate whenever the artifact's location
-        // map accepts it at the landing point; otherwise the same SSA
-        // function is interpreted (identical semantics).
-        let mut machine_art: Option<Arc<MachineArtifact>> = None;
+        // How the loop enters it: the positioned frame, and the machine
+        // artifact backing the version if the hop supplied one.
+        let mut entry = (Frame::enter(base, args), None::<Arc<MachineArtifact>>);
 
-        'version: loop {
+        loop {
             let current: &Function = owned.as_deref().unwrap_or(base);
             let profiler = RefCell::new(HotnessProfiler::for_function(current));
-            // Edge observation is opt-in: modes without speculation guards
-            // (debugger deopts, plain thresholds) pay nothing for it.
+            // Edge and call observation are opt-in: modes without
+            // speculation guards (debugger deopts, plain thresholds) pay
+            // nothing for them, and controllers profile call sites only at
+            // the baseline tier.
             let edges = controller
                 .observes_edges()
                 .then(|| EdgeObserver::for_function(current));
-            // Call-edge observation is likewise opt-in (controllers
-            // profile call sites only at the baseline tier).
             let calls_on = controller.observes_calls();
             let controller = RefCell::new(&mut *controller);
-            let pending: RefCell<Option<Pending>> = RefCell::new(None);
-            // After an infeasible hop the frame resumes at the very
-            // instruction it paused on, and the hook would observe the
-            // same physical visit (edge and hotness) a second time —
-            // suppress exactly that one re-entry.
-            let suppress = std::cell::Cell::new(None::<InstId>);
-
-            // Machine substrate: if the hop that entered this version
-            // carried an artifact whose location map accepts the frame at
-            // its landing point, execution proceeds over the register
-            // file instead of the SSA value map — same observation
-            // points, same controller protocol, no hashing.
-            if let Some(art) = machine_art.clone() {
-                let entered = current
-                    .block(frame.block)
-                    .insts
-                    .get(frame.index)
-                    .copied()
-                    .and_then(|at| art.enter(at, &frame.values).map(|mf| (at, mf)));
-                match entered {
-                    Some((start, mut mframe)) => {
-                        // pc → SSA point, for the observation hooks.
-                        let mut at_pc: Vec<Option<InstId>> = vec![None; art.code.len()];
-                        for (i, p) in &art.pc_of {
-                            at_pc[*p] = Some(*i);
-                        }
-                        let mut pc = art.pc_at(start).expect("entered point is lowered");
-                        let mut cur_block = current.block_of(start).expect("landing is live");
-                        // The dispatch loop maintains block and arrival
-                        // edge exactly as the interpreter's `jump` does
-                        // (every lowered transfer funnels through a
-                        // `Jump` carrying its CFG edge), which keeps the
-                        // edge observer sound over machine execution.
-                        let mut came_from: Option<BlockId> = None;
-                        loop {
-                            if let Some(at) = at_pc[pc] {
-                                let mut decision = TierDecision::Continue;
-                                if let Some(e) = edges.as_ref() {
-                                    let probe = Frame {
-                                        values: BTreeMap::new(),
-                                        block: cur_block,
-                                        index: 0,
-                                        came_from,
-                                    };
-                                    if let Some((from, to)) = e.taken_edge(&probe, at) {
-                                        decision =
-                                            controller.borrow_mut().observe_edge(from, to, at);
-                                    }
-                                }
-                                if matches!(decision, TierDecision::Continue) {
-                                    if let Some(count) = profiler.borrow_mut().visit(at) {
-                                        decision = controller.borrow_mut().observe(at, count);
-                                    }
-                                }
-                                match decision {
-                                    TierDecision::Continue => {}
-                                    TierDecision::Transition(t) => {
-                                        // Deoptimize out of registers: the
-                                        // backward location map rebuilds
-                                        // the SSA environment the entry
-                                        // table's compensation code reads.
-                                        let hopped = art.reconstruct(&mframe, at).and_then(|env| {
-                                            let block = current
-                                                .block_of(at)
-                                                .expect("observed point is live");
-                                            let index = current
-                                                .block(block)
-                                                .insts
-                                                .iter()
-                                                .position(|i| *i == at)
-                                                .expect("in block");
-                                            let sframe = Frame {
-                                                values: env,
-                                                block,
-                                                index,
-                                                came_from,
-                                            };
-                                            table_hop(&t, current, &sframe, &mut machine, at)
-                                        });
-                                        match hopped {
-                                            Some((next_frame, event)) => {
-                                                events.push(event);
-                                                controller.borrow_mut().on_transition(at);
-                                                frame = next_frame;
-                                                machine_art = t.machine.clone();
-                                                owned = Some(t.target);
-                                                continue 'version;
-                                            }
-                                            None if t.mandatory => {
-                                                return Err(ExecError::MandatoryTransitionFailed);
-                                            }
-                                            None => {
-                                                controller.borrow_mut().on_infeasible(at);
-                                                // Observation and execution
-                                                // share this iteration, so
-                                                // falling through cannot
-                                                // double-count the visit —
-                                                // no suppress needed.
-                                            }
-                                        }
-                                    }
-                                    TierDecision::InlineExit(t) => {
-                                        // Same deopt-out-of-registers step
-                                        // as a ladder hop, then the
-                                        // cross-function exit procedure.
-                                        let sframe = art.reconstruct(&mframe, at).map(|env| {
-                                            let block = current
-                                                .block_of(at)
-                                                .expect("observed point is live");
-                                            let index = current
-                                                .block(block)
-                                                .insts
-                                                .iter()
-                                                .position(|i| *i == at)
-                                                .expect("in block");
-                                            Frame {
-                                                values: env,
-                                                block,
-                                                index,
-                                                came_from,
-                                            }
-                                        });
-                                        let hopped = match sframe {
-                                            Some(sframe) => inline_exit(
-                                                &t,
-                                                current,
-                                                &sframe,
-                                                &mut machine,
-                                                &self.module,
-                                                at,
-                                            )?,
-                                            None => None,
-                                        };
-                                        match hopped {
-                                            Some((next_frame, event)) => {
-                                                events.push(event);
-                                                controller.borrow_mut().on_transition(at);
-                                                frame = next_frame;
-                                                machine_art = None;
-                                                owned = Some(Arc::clone(&t.base));
-                                                continue 'version;
-                                            }
-                                            None if t.mandatory => {
-                                                return Err(ExecError::MandatoryTransitionFailed);
-                                            }
-                                            None => {
-                                                controller.borrow_mut().on_infeasible(at);
-                                            }
-                                        }
-                                    }
-                                    other => {
-                                        // Run-to-completion decisions need
-                                        // the SSA substrate; reconstruct
-                                        // and serve them through the same
-                                        // legacy transition path.
-                                        let (versions, table, direction) = match other {
-                                            TierDecision::TierUp(v) => {
-                                                (v, None, Direction::Forward)
-                                            }
-                                            TierDecision::TierUpPrecomputed(v, t) => {
-                                                (v, Some(t), Direction::Forward)
-                                            }
-                                            TierDecision::TierDown(v) => {
-                                                (v, None, Direction::Backward)
-                                            }
-                                            TierDecision::TierDownPrecomputed(v, t) => {
-                                                (v, Some(t), Direction::Backward)
-                                            }
-                                            TierDecision::Continue
-                                            | TierDecision::Transition(_)
-                                            | TierDecision::InlineExit(_) => unreachable!(),
-                                        };
-                                        match art.reconstruct(&mframe, at) {
-                                            Some(env) => {
-                                                let block = current
-                                                    .block_of(at)
-                                                    .expect("observed point is live");
-                                                let index = current
-                                                    .block(block)
-                                                    .insts
-                                                    .iter()
-                                                    .position(|i| *i == at)
-                                                    .expect("in block");
-                                                let sframe = Frame {
-                                                    values: env,
-                                                    block,
-                                                    index,
-                                                    came_from,
-                                                };
-                                                match self.transition(
-                                                    &versions,
-                                                    direction,
-                                                    &sframe,
-                                                    &mut machine,
-                                                    at,
-                                                    options,
-                                                    table.as_deref(),
-                                                )? {
-                                                    Some((result, event)) => {
-                                                        events.push(event);
-                                                        return Ok((result, events));
-                                                    }
-                                                    None => {
-                                                        controller.borrow_mut().on_infeasible(at);
-                                                    }
-                                                }
-                                            }
-                                            None => {
-                                                controller.borrow_mut().on_infeasible(at);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            match art.exec_inst(pc, &mut mframe, &mut machine, &self.module)? {
-                                MachineStep::Next => pc += 1,
-                                MachineStep::Branched(target) => pc = target,
-                                MachineStep::Jumped {
-                                    from,
-                                    to,
-                                    pc: target,
-                                } => {
-                                    cur_block = to;
-                                    came_from = Some(from);
-                                    pc = target;
-                                }
-                                MachineStep::Returned(v) => return Ok((v, events)),
-                            }
-                        }
+            let observe = |fr: &Frame, at: InstId| {
+                if calls_on {
+                    if let InstKind::Call { callee, .. } = &current.inst(at).kind {
+                        controller.borrow_mut().observe_call(at, callee);
                     }
+                }
+                // Speculation guards first: entering a block along a
+                // conditional edge is reported before the hotness check, so
+                // a guard can fire at the very instruction that witnessed
+                // the uncommon path.
+                if let Some((from, to)) = edges.as_ref().and_then(|e| e.taken_edge(fr, at)) {
+                    let decision = controller.borrow_mut().observe_edge(from, to, at);
+                    if !matches!(decision, TierDecision::Continue) {
+                        return decision;
+                    }
+                }
+                match profiler.borrow_mut().visit(at) {
+                    Some(count) => controller.borrow_mut().observe(at, count),
+                    None => TierDecision::Continue,
+                }
+            };
+
+            let mut exec = Substrate::enter(current, entry.0, entry.1);
+            // Set after an infeasible hop: the boundary the substrate is
+            // stopped at has been observed already.
+            let mut observed = false;
+            entry = loop {
+                let resume = std::mem::take(&mut observed);
+                let (at, decision) =
+                    match exec.run(current, &mut machine, &self.module, resume, &observe)? {
+                        Stop::Returned(v) => return Ok((v, events)),
+                        Stop::Decision(at, decision) => (at, decision),
+                    };
+                let paused = exec.capture(current, at);
+                let (hop, mandatory) = match decision {
+                    TierDecision::Continue => unreachable!("substrates stop on decisions only"),
+                    TierDecision::Transition(t) => {
+                        let hop = table_hop(&t, &paused, &mut machine);
+                        let next = hop.map(|(frame, event)| (frame, event, t.target, t.machine));
+                        (next, t.mandatory)
+                    }
+                    TierDecision::InlineExit(t) => {
+                        let hop = inline_exit(&t, &paused, &mut machine, &self.module)?;
+                        let next = hop.map(|(frame, event)| (frame, event, t.base, None));
+                        (next, t.mandatory)
+                    }
+                    TierDecision::RunToCompletion {
+                        versions,
+                        direction,
+                        table,
+                    } => {
+                        let done = self.run_to_completion(
+                            &versions,
+                            direction,
+                            table.as_deref(),
+                            &paused,
+                            &mut machine,
+                            options,
+                        )?;
+                        if let Some((result, event)) = done {
+                            events.push(event);
+                            return Ok((result, events));
+                        }
+                        (None, false)
+                    }
+                };
+                match hop {
+                    Some((frame, event, version, artifact)) => {
+                        events.push(event);
+                        controller.borrow_mut().on_transition(at);
+                        owned = Some(version);
+                        break (frame, artifact);
+                    }
+                    // The current version is not valid for this frame (a
+                    // guard escape failed): abort rather than keep
+                    // executing it.
+                    None if mandatory => return Err(ExecError::MandatoryTransitionFailed),
                     None => {
-                        // The artifact refused the frame (unlowered landing
-                        // or a missing live value): fall through to the SSA
-                        // interpreter loop below — identical semantics, no
-                        // substrate.  Every next version entry reassigns
-                        // the artifact, so no reset is needed here.
+                        controller.borrow_mut().on_infeasible(at);
+                        observed = true;
                     }
                 }
-            }
-
-            loop {
-                let outcome = run_frame(
-                    current,
-                    &mut frame,
-                    &mut machine,
-                    &self.module,
-                    Some(&|f, fr, i| {
-                        if suppress.take() == Some(i) {
-                            return false;
-                        }
-                        if calls_on {
-                            if let InstKind::Call { callee, .. } = &f.inst(i).kind {
-                                controller.borrow_mut().observe_call(i, callee);
-                            }
-                        }
-                        // Speculation guards first: entering a block along
-                        // a conditional edge is reported before the
-                        // hotness check, so a guard can fire at the very
-                        // instruction that witnessed the uncommon path.
-                        let mut decision = TierDecision::Continue;
-                        if let Some((from, to)) = edges.as_ref().and_then(|e| e.taken_edge(fr, i)) {
-                            decision = controller.borrow_mut().observe_edge(from, to, i);
-                        }
-                        if matches!(decision, TierDecision::Continue) {
-                            let Some(count) = profiler.borrow_mut().visit(i) else {
-                                return false;
-                            };
-                            decision = controller.borrow_mut().observe(i, count);
-                        }
-                        match decision {
-                            TierDecision::Continue => false,
-                            TierDecision::TierUp(versions) => {
-                                *pending.borrow_mut() =
-                                    Some(Pending::Legacy(versions, None, Direction::Forward));
-                                true
-                            }
-                            TierDecision::TierUpPrecomputed(versions, table) => {
-                                *pending.borrow_mut() = Some(Pending::Legacy(
-                                    versions,
-                                    Some(table),
-                                    Direction::Forward,
-                                ));
-                                true
-                            }
-                            TierDecision::TierDown(versions) => {
-                                *pending.borrow_mut() =
-                                    Some(Pending::Legacy(versions, None, Direction::Backward));
-                                true
-                            }
-                            TierDecision::TierDownPrecomputed(versions, table) => {
-                                *pending.borrow_mut() = Some(Pending::Legacy(
-                                    versions,
-                                    Some(table),
-                                    Direction::Backward,
-                                ));
-                                true
-                            }
-                            TierDecision::Transition(target) => {
-                                *pending.borrow_mut() = Some(Pending::Ladder(target));
-                                true
-                            }
-                            TierDecision::InlineExit(target) => {
-                                *pending.borrow_mut() = Some(Pending::Inline(target));
-                                true
-                            }
-                        }
-                    }),
-                )?;
-                match outcome {
-                    StepOutcome::Returned(v) => return Ok((v, events)),
-                    StepOutcome::Paused { at } => {
-                        let hop = pending
-                            .borrow_mut()
-                            .take()
-                            .expect("paused only when a transition was requested");
-                        match hop {
-                            Pending::Legacy(versions, table, direction) => {
-                                match self.transition(
-                                    &versions,
-                                    direction,
-                                    &frame,
-                                    &mut machine,
-                                    at,
-                                    options,
-                                    table.as_deref(),
-                                )? {
-                                    Some((result, event)) => {
-                                        events.push(event);
-                                        return Ok((result, events));
-                                    }
-                                    None => {
-                                        // Infeasible here: keep interpreting
-                                        // (the controller must not re-request
-                                        // at this point).
-                                        controller.borrow_mut().on_infeasible(at);
-                                        suppress.set(Some(at));
-                                        continue;
-                                    }
-                                }
-                            }
-                            Pending::Ladder(t) => {
-                                match table_hop(&t, current, &frame, &mut machine, at) {
-                                    Some((next_frame, event)) => {
-                                        events.push(event);
-                                        controller.borrow_mut().on_transition(at);
-                                        frame = next_frame;
-                                        machine_art = t.machine.clone();
-                                        owned = Some(t.target);
-                                        continue 'version;
-                                    }
-                                    None if t.mandatory => {
-                                        // The current version is not valid
-                                        // for this frame (a guard escape
-                                        // failed): abort rather than keep
-                                        // executing it.
-                                        return Err(ExecError::MandatoryTransitionFailed);
-                                    }
-                                    None => {
-                                        controller.borrow_mut().on_infeasible(at);
-                                        suppress.set(Some(at));
-                                        continue;
-                                    }
-                                }
-                            }
-                            Pending::Inline(t) => {
-                                match inline_exit(
-                                    &t,
-                                    current,
-                                    &frame,
-                                    &mut machine,
-                                    &self.module,
-                                    at,
-                                )? {
-                                    Some((next_frame, event)) => {
-                                        events.push(event);
-                                        controller.borrow_mut().on_transition(at);
-                                        frame = next_frame;
-                                        machine_art = None;
-                                        owned = Some(Arc::clone(&t.base));
-                                        continue 'version;
-                                    }
-                                    None if t.mandatory => {
-                                        return Err(ExecError::MandatoryTransitionFailed);
-                                    }
-                                    None => {
-                                        controller.borrow_mut().on_infeasible(at);
-                                        suppress.set(Some(at));
-                                        continue;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            };
         }
     }
 
-    /// Runs the *optimized* version of `versions` and fires a deoptimizing
-    /// (tier-down) transition back into the baseline version once a
-    /// loop-header point of the optimized code has been visited
-    /// `policy.after_visits` times — the on-demand deoptimization a
-    /// debugger attach triggers (§7).  If no visited point admits a
-    /// backward transition, the optimized version simply runs to
-    /// completion (no event is recorded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter failures ([`ExecError`]).
-    pub fn run_with_deopt(
-        &self,
-        versions: &FunctionVersions,
-        args: &[Val],
-        policy: &DeoptPolicy,
-    ) -> Result<(Option<Val>, Vec<OsrEvent>), ExecError> {
-        self.run_deopt_inner(versions, args, policy, None)
-    }
-
-    /// Like [`Vm::run_with_deopt`], but serves the backward transition from
-    /// a precomputed [`EntryTable`] (direction `Backward`) instead of
-    /// reconstructing compensation code at transition time — the path a
-    /// shared code cache uses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates interpreter failures ([`ExecError`]).
-    pub fn run_with_deopt_table(
-        &self,
-        versions: &FunctionVersions,
-        args: &[Val],
-        policy: &DeoptPolicy,
-        table: &EntryTable,
-    ) -> Result<(Option<Val>, Vec<OsrEvent>), ExecError> {
-        self.run_deopt_inner(versions, args, policy, Some(table))
-    }
-
-    /// The deopt path is the same tiered loop as everything else: a
-    /// threshold controller over the *optimized* version's instrumented
-    /// points answers [`TierDecision::TierDown`] (or its precomputed
-    /// flavour) once a point reaches `policy.after_visits`, and
-    /// [`Vm::run_tiered`] performs the backward transition through the
-    /// shared frame-surgery machinery.
-    fn run_deopt_inner(
-        &self,
-        versions: &FunctionVersions,
-        args: &[Val],
-        policy: &DeoptPolicy,
-        table: Option<&EntryTable>,
-    ) -> Result<(Option<Val>, Vec<OsrEvent>), ExecError> {
-        // Clone the version pair (and table) only if the threshold fires.
-        struct DeoptThreshold<'a> {
-            threshold: usize,
-            versions: &'a FunctionVersions,
-            table: Option<&'a EntryTable>,
-            cached: Option<(Arc<FunctionVersions>, Option<Arc<EntryTable>>)>,
-        }
-        impl TierController for DeoptThreshold<'_> {
-            fn observe(&mut self, _at: InstId, count: usize) -> TierDecision {
-                if count != self.threshold {
-                    return TierDecision::Continue;
-                }
-                let (versions, table) = self.cached.get_or_insert_with(|| {
-                    (
-                        Arc::new(self.versions.clone()),
-                        self.table.map(|t| Arc::new(t.clone())),
-                    )
-                });
-                match table {
-                    Some(t) => {
-                        TierDecision::TierDownPrecomputed(Arc::clone(versions), Arc::clone(t))
-                    }
-                    None => TierDecision::TierDown(Arc::clone(versions)),
-                }
-            }
-        }
-        let mut controller = DeoptThreshold {
-            threshold: policy.after_visits,
-            versions,
-            table,
-            cached: None,
-        };
-        self.run_tiered(&versions.opt, args, &policy.options, &mut controller)
-    }
-
-    /// Attempts a transition at source location `at`; on success runs the
-    /// target version to completion and returns its result.
-    ///
+    /// Serves a [`TierDecision::RunToCompletion`]: lands the paused frame
+    /// in the other half of `versions` and runs that half to its return.
     /// `Forward` leaves the baseline for the optimized version, `Backward`
     /// deoptimizes from the optimized version back into the baseline.
-    #[allow(clippy::too_many_arguments)]
-    fn transition(
+    ///
+    /// Returns `Ok(None)` when the transition is infeasible at this point.
+    fn run_to_completion(
         &self,
         versions: &FunctionVersions,
         direction: Direction,
-        frame: &Frame,
-        machine: &mut Machine,
-        at: InstId,
-        options: &TransitionOptions,
         table: Option<&EntryTable>,
+        paused: &Paused<'_>,
+        machine: &mut Machine,
+        options: &TransitionOptions,
     ) -> Result<Option<(Option<Val>, OsrEvent)>, ExecError> {
-        let hop_started = std::time::Instant::now();
-        let (src_fn, dst_fn) = match direction {
-            Direction::Forward => (&versions.base, &versions.opt),
-            Direction::Backward => (&versions.opt, &versions.base),
+        let started = Instant::now();
+        let target = match direction {
+            Direction::Forward => &versions.opt,
+            Direction::Backward => &versions.base,
         };
-        // Precomputed path: a code cache already resolved the landing site
-        // and built (validated) compensation code for every feasible point.
-        let (loc, entry_owned);
-        let entry = if let Some(table) = table {
-            debug_assert_eq!(table.direction, direction, "table direction matches");
-            let Some((landing, entry)) = table.get(at) else {
-                return Ok(None);
-            };
-            loc = landing.loc;
-            entry
-        } else {
-            let Some(Landing { loc: l, entry_edge }) =
-                landing_site(src_fn, dst_fn, &versions.cm, at)
-            else {
-                return Ok(None);
-            };
-            let pair = versions.pair();
-            let Ok(e) = pair.build_entry_with_edge(direction, at, l, options.variant, entry_edge)
-            else {
-                return Ok(None);
-            };
-            loc = l;
-            entry_owned = e;
-            &entry_owned
+        let on_demand;
+        let row = match table {
+            // Precomputed: a code cache already resolved the landing site
+            // and built (validated) compensation code for every feasible
+            // point.
+            Some(table) => {
+                debug_assert_eq!(table.direction, direction, "table direction matches");
+                table.get(paused.at)
+            }
+            // On demand, the paper's mechanism at transition time: resolve
+            // the landing site and reconstruct the compensation code now,
+            // for this point only — a one-row table.
+            None => {
+                let (at, variant) = (paused.at, options.variant);
+                let landing = landing_site(paused.func, target, &versions.cm, at);
+                on_demand = landing.and_then(|l| {
+                    let pair = versions.pair();
+                    let entry =
+                        pair.build_entry_with_edge(direction, at, l.loc, variant, l.entry_edge);
+                    Some((l, entry.ok()?))
+                });
+                on_demand.as_ref()
+            }
         };
-        // Compensation code runs now, against the live source frame
-        // (rehydrated: see [`with_remat_consts`]).
-        let values = with_remat_consts(entry, src_fn, &frame.values);
-        let Ok(env) = apply_comp(entry, dst_fn, &values, machine) else {
+        let Some((env, event)) = row.and_then(|row| land(row, &[], paused, target, machine)) else {
             return Ok(None);
         };
-        let comp_size = entry.comp.emit_count();
-        let transferred = entry
-            .comp
-            .steps
-            .iter()
-            .filter(|s| matches!(s, CompStep::Transfer { .. }))
-            .count();
         // The run-to-completion below is ordinary execution, not hop cost.
-        let hop_nanos = hop_started.elapsed().as_nanos() as u64;
-
+        let nanos = started.elapsed().as_nanos() as u64;
         let result = if options.use_continuation {
             // OSRKit-style: generate f'to and call it with the live state.
-            let live_ins: Vec<ssair::ValueId> = env.keys().copied().collect();
-            let cont = extract_continuation(dst_fn, loc, &live_ins);
+            let live_ins: Vec<ValueId> = env.keys().copied().collect();
+            let cont = extract_continuation(target, event.to, &live_ins);
             debug_assert!(
                 ssair::verify(&cont.func).is_ok(),
                 "continuation must verify"
             );
             let cargs: Vec<Val> = cont.live_ins.iter().map(|v| env[v]).collect();
-            let mut cframe = Frame::enter(&cont.func, &cargs);
-            match run_frame(&cont.func, &mut cframe, machine, &self.module, None)? {
-                StepOutcome::Returned(v) => v,
-                StepOutcome::Paused { .. } => unreachable!("no pause predicate"),
-            }
+            let frame = Frame::enter(&cont.func, &cargs);
+            finish(&cont.func, frame, machine, &self.module)?
         } else {
-            // Direct frame surgery: position a frame of the target function
-            // at the landing point.
-            let block = dst_fn.block_of(loc).expect("landing is live");
-            let index = dst_fn
-                .block(block)
-                .insts
-                .iter()
-                .position(|i| *i == loc)
-                .expect("in block");
-            let mut dframe = Frame {
-                values: env,
-                block,
-                index,
-                came_from: None,
-            };
-            match run_frame(dst_fn, &mut dframe, machine, &self.module, None)? {
-                StepOutcome::Returned(v) => v,
-                StepOutcome::Paused { .. } => unreachable!("no pause predicate"),
-            }
+            let frame = Frame::at(target, event.to, env);
+            finish(target, frame, machine, &self.module)?
         };
-        Ok(Some((
-            result,
-            OsrEvent {
-                direction,
-                from: at,
-                to: loc,
-                rung: match direction {
-                    Direction::Forward => crate::profile::Tier(1),
-                    Direction::Backward => crate::profile::Tier::BASELINE,
-                },
-                comp_size,
-                transferred,
-                via_continuation: options.use_continuation,
-                callee: None,
-                nanos: hop_nanos,
-                violated: None,
+        let event = OsrEvent {
+            direction,
+            rung: match direction {
+                Direction::Forward => Tier(1),
+                Direction::Backward => Tier::BASELINE,
             },
-        )))
+            via_continuation: options.use_continuation,
+            nanos,
+            ..event
+        };
+        Ok(Some((result, event)))
     }
 
     /// Runs a function without any OSR (reference behaviour).
@@ -911,31 +520,222 @@ impl Vm {
     }
 }
 
-/// Rehydrates a frame for an outgoing transition: any `Transfer` source
-/// the frame is missing whose definition in the *source* version is a
-/// plain constant is rematerialized into the value map.
+/// Runs a frame nobody observes to its return — the tail of a
+/// run-to-completion transition and of a reconstructed callee.
+fn finish(
+    f: &Function,
+    mut frame: Frame,
+    machine: &mut Machine,
+    module: &Module,
+) -> Result<Option<Val>, ExecError> {
+    match run_frame(f, &mut frame, machine, module, None)? {
+        StepOutcome::Returned(v) => Ok(v),
+        StepOutcome::Paused { .. } => unreachable!("no pause predicate"),
+    }
+}
+
+/// Where a version executes.  [`Vm::run_tiered`] crosses this seam once
+/// per controller *decision*, never per instruction: each variant keeps
+/// its own tight inner loop.
+enum Substrate {
+    /// The SSA interpreter, over a value-map frame.
+    Ssa(Frame),
+    /// The register machine, over the artifact lowered from the same SSA
+    /// function — same observation points, same controller protocol, no
+    /// value-map lookups.
+    Machine {
+        art: Arc<MachineArtifact>,
+        regs: MachineFrame,
+        pc: usize,
+        /// pc → SSA point, for the observation hooks.
+        at_pc: Vec<Option<InstId>>,
+        /// What the observer sees of a register frame: the dispatch loop
+        /// maintains block and arrival edge exactly as the interpreter's
+        /// `jump` does (every lowered transfer funnels through a `Jump`
+        /// carrying its CFG edge), which keeps the edge observer sound
+        /// over machine execution.  Its value map stays empty.
+        probe: Frame,
+    },
+}
+
+/// Why a substrate stopped running.
+enum Stop {
+    Returned(Option<Val>),
+    /// The controller answered something other than `Continue` at the
+    /// boundary before this instruction.
+    Decision(InstId, TierDecision),
+}
+
+/// A source activation stopped at an instruction boundary, as every
+/// transition reads it: the running version, the point, and the SSA
+/// environment there.
+struct Paused<'a> {
+    func: &'a Function,
+    at: InstId,
+    /// `None` for a register frame stopped where its artifact has no
+    /// location map: nothing can land from here.
+    values: Option<Cow<'a, BTreeMap<ValueId, Val>>>,
+}
+
+impl Substrate {
+    /// Enters `f` at `frame`'s position: on the machine if an artifact was
+    /// supplied and its location map accepts the frame there, otherwise
+    /// (unlowered landing, or a missing live value) by interpreting the
+    /// same SSA function — identical semantics; the artifact is an
+    /// execution substrate, never a semantic requirement.
+    fn enter(f: &Function, frame: Frame, art: Option<Arc<MachineArtifact>>) -> Substrate {
+        let start = f.block(frame.block).insts.get(frame.index).copied();
+        let entered = art.zip(start).and_then(|(art, start)| {
+            let regs = art.enter(start, &frame.values)?;
+            let mut at_pc = vec![None; art.code.len()];
+            for (i, p) in &art.pc_of {
+                at_pc[*p] = Some(*i);
+            }
+            Some(Substrate::Machine {
+                pc: art.pc_at(start).expect("entered point is lowered"),
+                probe: Frame::at(f, start, BTreeMap::new()),
+                art,
+                regs,
+                at_pc,
+            })
+        });
+        entered.unwrap_or(Substrate::Ssa(frame))
+    }
+
+    /// Runs until the function returns or `observe` answers something other
+    /// than `Continue` at an instruction boundary.  `resume` says the
+    /// boundary the substrate is stopped at was observed by the previous
+    /// call (whose decision proved infeasible): it is not observed again.
+    fn run(
+        &mut self,
+        f: &Function,
+        machine: &mut Machine,
+        module: &Module,
+        resume: bool,
+        observe: &impl Fn(&Frame, InstId) -> TierDecision,
+    ) -> Result<Stop, ExecError> {
+        match self {
+            Substrate::Ssa(frame) => {
+                let skip = Cell::new(resume);
+                let stash = Cell::new(None);
+                let pause = |_: &Function, fr: &Frame, at: InstId| {
+                    if skip.replace(false) {
+                        return false;
+                    }
+                    let decision = observe(fr, at);
+                    let stop = !matches!(decision, TierDecision::Continue);
+                    if stop {
+                        stash.set(Some(decision));
+                    }
+                    stop
+                };
+                Ok(match run_frame(f, frame, machine, module, Some(&pause))? {
+                    StepOutcome::Returned(v) => Stop::Returned(v),
+                    StepOutcome::Paused { at } => {
+                        let decision = stash.take().expect("paused only on a decision");
+                        Stop::Decision(at, decision)
+                    }
+                })
+            }
+            Substrate::Machine {
+                art,
+                regs,
+                pc: saved_pc,
+                at_pc,
+                probe,
+            } => {
+                let mut skip = resume;
+                let mut pc = *saved_pc;
+                loop {
+                    if let Some(at) = at_pc[pc] {
+                        if !std::mem::take(&mut skip) {
+                            let decision = observe(probe, at);
+                            if !matches!(decision, TierDecision::Continue) {
+                                *saved_pc = pc;
+                                return Ok(Stop::Decision(at, decision));
+                            }
+                        }
+                    }
+                    match art.exec_inst(pc, regs, machine, module)? {
+                        MachineStep::Next => pc += 1,
+                        MachineStep::Branched(target) => pc = target,
+                        MachineStep::Jumped {
+                            from,
+                            to,
+                            pc: target,
+                        } => {
+                            probe.block = to;
+                            probe.came_from = Some(from);
+                            pc = target;
+                        }
+                        MachineStep::Returned(v) => return Ok(Stop::Returned(v)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The activation as a transition reads it at `at`, the boundary
+    /// [`Substrate::run`] stopped at.  An SSA frame is its own
+    /// environment; a register frame deoptimizes out of registers through
+    /// the artifact's backward location map.
+    fn capture<'a>(&'a self, f: &'a Function, at: InstId) -> Paused<'a> {
+        let values = match self {
+            Substrate::Ssa(frame) => Some(Cow::Borrowed(&frame.values)),
+            Substrate::Machine { art, regs, .. } => art.reconstruct(regs, at).map(Cow::Owned),
+        };
+        Paused {
+            func: f,
+            at,
+            values,
+        }
+    }
+}
+
+/// The one landing routine, shared by every kind of transition: runs the
+/// compensation code of table row `(landing, entry)` against the paused
+/// source activation and returns the environment of `target` at the
+/// landing location, plus the event describing the hop (`from`, `to`,
+/// `|c|` and values transferred filled in; direction, rung and timing are
+/// the caller's to stamp).
 ///
-/// A frame that entered its version mid-function — a deopt landing, or
-/// any ladder hop — carries only the values the incoming compensation
-/// transferred (the live set at the landing).  A later outgoing entry may
-/// read a value that every *normally-entered* frame has computed but this
-/// one never will, most commonly an entry-block constant the optimizer
-/// reuses (CSE) deeper in the function.  Constants are free
-/// rematerializations (the §5.1 observation that lets LICM hoist them
-/// without recording a move), so supplying them here is always sound —
-/// and it is exactly what keeps the speculation lifecycle closed: without
-/// it, a frame that deopted mid-loop could never take the tier-up table
-/// back out of the baseline.
-fn with_remat_consts<'v>(
-    entry: &SsaEntry,
-    source: &Function,
-    values: &'v BTreeMap<ValueId, Val>,
-) -> Cow<'v, BTreeMap<ValueId, Val>> {
-    let mut out = Cow::Borrowed(values);
+/// The source environment is rehydrated first: `pinned` values the
+/// controller supplied go in where missing ([`TierTarget::pinned`]), then
+/// any `Transfer` source still missing whose definition in the *source*
+/// version is a plain constant is rematerialized.  A frame that entered
+/// its version mid-function — a deopt landing, or any ladder hop — carries
+/// only the values the incoming compensation transferred (the live set at
+/// the landing).  A later outgoing entry may read a value that every
+/// *normally-entered* frame has computed but this one never will, most
+/// commonly an entry-block constant the optimizer reuses (CSE) deeper in
+/// the function.  Constants are free rematerializations (the §5.1
+/// observation that lets LICM hoist them without recording a move), so
+/// supplying them here is always sound — and it is exactly what keeps the
+/// speculation lifecycle closed: without it, a frame that deopted mid-loop
+/// could never take the tier-up table back out of the baseline.
+///
+/// Returns `None` when the compensation code cannot execute on this frame
+/// (the transition is infeasible here).
+fn land(
+    (landing, entry): &(Landing, SsaEntry),
+    pinned: &[(ValueId, Val)],
+    paused: &Paused<'_>,
+    target: &Function,
+    machine: &mut Machine,
+) -> Option<(BTreeMap<ValueId, Val>, OsrEvent)> {
+    let source = paused.func;
+    let mut values = Cow::Borrowed(paused.values.as_deref()?);
+    for (v, val) in pinned {
+        if !values.contains_key(v) {
+            values.to_mut().insert(*v, *val);
+        }
+    }
+    let mut transferred = 0;
     for step in &entry.comp.steps {
         let CompStep::Transfer { src, .. } = step else {
             continue;
         };
+        transferred += 1;
         if values.contains_key(src) || (src.0 as usize) >= source.value_count() {
             continue;
         }
@@ -946,87 +746,58 @@ fn with_remat_consts<'v>(
             continue;
         }
         if let InstKind::Const(n) = source.inst(i).kind {
-            out.to_mut().insert(*src, Val::Int(n));
+            values.to_mut().insert(*src, Val::Int(n));
         }
     }
-    out
+    let env = apply_comp(entry, target, &values, machine).ok()?;
+    let event = OsrEvent {
+        direction: Direction::Forward,
+        from: paused.at,
+        to: landing.loc,
+        rung: Tier::BASELINE,
+        comp_size: entry.comp.emit_count(),
+        transferred,
+        via_continuation: false,
+        callee: None,
+        nanos: 0,
+        violated: None,
+    };
+    Some((env, event))
 }
 
-/// Serves one table-driven ladder hop: resolves `at` in the entry table,
-/// runs the compensation code against the live source frame, and builds a
-/// frame of the target version positioned at the landing location (direct
-/// frame surgery — continuation functions renumber instruction ids, which
-/// would orphan the target's precomputed tables for later hops).  The
-/// recorded event carries the hop's *semantic* direction
+/// Serves one table-driven ladder hop: lands the paused activation in the
+/// target version and builds a frame positioned at the landing location
+/// (direct frame surgery — continuation functions renumber instruction
+/// ids, which would orphan the target's precomputed tables for later
+/// hops).  The recorded event carries the hop's *semantic* direction
 /// ([`TierTarget::direction`]), not the table's: a composed down-hop ends
 /// in a forward table but is still a deopt.
 ///
-/// Returns `None` when the table has no entry at `at` or the compensation
-/// code cannot execute (the hop is infeasible here).
+/// Returns `None` when the table has no entry at the paused point or the
+/// compensation code cannot execute (the hop is infeasible here).
 fn table_hop(
     t: &TierTarget,
-    source: &Function,
-    frame: &Frame,
+    paused: &Paused<'_>,
     machine: &mut Machine,
-    at: InstId,
 ) -> Option<(Frame, OsrEvent)> {
-    let hop_started = std::time::Instant::now();
-    let target: &Function = &t.target;
-    let (landing, entry) = t.table.get(at)?;
-    // Pin controller-supplied values (parameters the frame never
-    // transferred — see [`TierTarget::pinned`]) before rematerializing
-    // constants, so both rehydrations compose.
-    let mut pinned = Cow::Borrowed(&frame.values);
-    for (v, val) in &t.pinned {
-        if !pinned.contains_key(v) {
-            pinned.to_mut().insert(*v, *val);
-        }
-    }
-    let values = match with_remat_consts(entry, source, &pinned) {
-        Cow::Borrowed(_) => pinned,
-        Cow::Owned(map) => Cow::Owned(map),
+    let started = Instant::now();
+    let row = t.table.get(paused.at)?;
+    let (env, event) = land(row, &t.pinned, paused, &t.target, machine)?;
+    let frame = Frame::at(&t.target, event.to, env);
+    let event = OsrEvent {
+        direction: t.direction,
+        rung: t.rung,
+        violated: t.violated,
+        nanos: started.elapsed().as_nanos() as u64,
+        ..event
     };
-    let env = apply_comp(entry, target, &values, machine).ok()?;
-    let loc = landing.loc;
-    let block = target.block_of(loc).expect("landing is live");
-    let index = target
-        .block(block)
-        .insts
-        .iter()
-        .position(|i| *i == loc)
-        .expect("landing is in its block");
-    let comp_size = entry.comp.emit_count();
-    let transferred = entry
-        .comp
-        .steps
-        .iter()
-        .filter(|s| matches!(s, CompStep::Transfer { .. }))
-        .count();
-    Some((
-        Frame {
-            values: env,
-            block,
-            index,
-            came_from: None,
-        },
-        OsrEvent {
-            direction: t.direction,
-            from: at,
-            to: loc,
-            rung: t.rung,
-            comp_size,
-            transferred,
-            via_continuation: false,
-            callee: None,
-            nanos: hop_started.elapsed().as_nanos() as u64,
-            violated: t.violated,
-        },
-    ))
+    Some((frame, event))
 }
 
-/// Serves one cross-function inline exit: hops the frame backward into the
-/// *spliced* caller base through the precomputed table (exactly like
-/// [`table_hop`]), then undoes the splice the landing fell into.
+/// Serves one cross-function inline exit: lands the paused activation in
+/// the *spliced* caller base through the precomputed backward table
+/// (exactly like [`table_hop`]), then undoes the splice the landing fell
+/// into.
 ///
 /// Two cases, composed from the same landing environment:
 ///
@@ -1040,45 +811,23 @@ fn table_hop(
 ///   there directly, with every known region join rebound to the retired
 ///   call's result value.
 ///
-/// Returns `None` when the table has no entry at `at`, the compensation
-/// code cannot execute, or the landing cannot be translated — the exit is
-/// infeasible here and the caller decides whether that is fatal
-/// ([`InlineExitTarget::mandatory`]).
+/// Returns `None` when the table has no entry at the paused point, the
+/// compensation code cannot execute, or the landing cannot be translated
+/// — the exit is infeasible here and the caller decides whether that is
+/// fatal ([`InlineExitTarget::mandatory`]).
 fn inline_exit(
     t: &InlineExitTarget,
-    source: &Function,
-    frame: &Frame,
+    paused: &Paused<'_>,
     machine: &mut Machine,
     module: &Module,
-    at: InstId,
 ) -> Result<Option<(Frame, OsrEvent)>, ExecError> {
-    let hop_started = std::time::Instant::now();
-    let Some((landing, entry)) = t.table.get(at) else {
+    let started = Instant::now();
+    let landed = t.table.get(paused.at);
+    let landed = landed.and_then(|row| land(row, &t.pinned, paused, &t.spliced, machine));
+    let Some((env, event)) = landed else {
         return Ok(None);
     };
-    // Parameter pinning + constant rematerialization, exactly as for an
-    // ordinary ladder hop.
-    let mut pinned = Cow::Borrowed(&frame.values);
-    for (v, val) in &t.pinned {
-        if !pinned.contains_key(v) {
-            pinned.to_mut().insert(*v, *val);
-        }
-    }
-    let values = match with_remat_consts(entry, source, &pinned) {
-        Cow::Borrowed(_) => pinned,
-        Cow::Owned(map) => Cow::Owned(map),
-    };
-    let Ok(env) = apply_comp(entry, &t.spliced, &values, machine) else {
-        return Ok(None);
-    };
-    let loc = landing.loc;
-    let comp_size = entry.comp.emit_count();
-    let transferred = entry
-        .comp
-        .steps
-        .iter()
-        .filter(|s| matches!(s, CompStep::Transfer { .. }))
-        .count();
+    let loc = event.to;
 
     // The frame is now (virtually) in the spliced base at `loc`.  Values
     // with caller ids carry over verbatim — splicing never renumbers —
@@ -1096,43 +845,32 @@ fn inline_exit(
     }
 
     let region = t.regions.iter().find(|r| r.pc_map.contains_key(&loc));
-    let (block, index, callee_name) = match region {
+    let (frame, callee) = match region {
         Some(r) => {
             let Some(callee) = t.callees.get(&r.callee) else {
                 return Ok(None);
             };
-            let cpc = r.pc_map[&loc];
-            // Callee-live values at `cpc` correspond 1:1 (through the
-            // value map) to spliced-live values at `loc`, so the landing
-            // environment is exactly the callee frame's value map.
+            // Callee-live values at the region's pc correspond 1:1
+            // (through the value map) to spliced-live values at `loc`, so
+            // the landing environment is exactly the callee frame's value
+            // map.
             let cvalues: BTreeMap<ValueId, Val> = r
                 .val_map
                 .iter()
                 .filter_map(|(cv, sv)| env.get(sv).map(|val| (*cv, *val)))
                 .collect();
-            let cblock = callee
-                .block_of(cpc)
-                .expect("region pc is live in the callee");
-            let cindex = callee
-                .block(cblock)
-                .insts
-                .iter()
-                .position(|i| *i == cpc)
-                .expect("in block");
-            let mut cframe = Frame {
-                values: cvalues,
-                block: cblock,
-                index: cindex,
-                came_from: None,
-            };
-            let result = match run_frame(callee, &mut cframe, machine, module, None)? {
-                StepOutcome::Returned(v) => v,
-                StepOutcome::Paused { .. } => unreachable!("no pause predicate"),
-            };
+            let cframe = Frame::at(callee, r.pc_map[&loc], cvalues);
+            let result = finish(callee, cframe, machine, module)?;
             let val = result.expect("inlinable callees always return a value");
             base_values.insert(r.result, val);
             // Resume the caller just past its (still present) `call`.
-            (r.call_block, r.call_index + 1, Some(r.callee.clone()))
+            let frame = Frame {
+                values: base_values,
+                block: r.call_block,
+                index: r.call_index + 1,
+                came_from: None,
+            };
+            (frame, Some(r.callee.clone()))
         }
         None => {
             // Ordinary caller code: the landing pc exists verbatim in the
@@ -1142,37 +880,18 @@ fn inline_exit(
             if (loc.0 as usize) >= t.base.inst_id_count() || !t.base.inst_is_live(loc) {
                 return Ok(None);
             }
-            let block = t.base.block_of(loc).expect("landing is live");
-            let index = t
-                .base
-                .block(block)
-                .insts
-                .iter()
-                .position(|i| *i == loc)
-                .expect("in block");
-            (block, index, None)
+            (Frame::at(&t.base, loc, base_values), None)
         }
     };
-    Ok(Some((
-        Frame {
-            values: base_values,
-            block,
-            index,
-            came_from: None,
-        },
-        OsrEvent {
-            direction: Direction::Backward,
-            from: at,
-            to: loc,
-            rung: t.rung,
-            comp_size,
-            transferred,
-            via_continuation: false,
-            callee: callee_name,
-            nanos: hop_started.elapsed().as_nanos() as u64,
-            violated: t.violated,
-        },
-    )))
+    let event = OsrEvent {
+        direction: Direction::Backward,
+        rung: t.rung,
+        callee,
+        violated: t.violated,
+        nanos: started.elapsed().as_nanos() as u64,
+        ..event
+    };
+    Ok(Some((frame, event)))
 }
 
 #[cfg(test)]
@@ -1289,7 +1008,7 @@ mod tests {
              }",
             "work",
         );
-        let vm = Vm::new(m);
+        let (vm, v) = (Vm::new(m), Arc::new(v));
         for use_continuation in [true, false] {
             let policy = DeoptPolicy {
                 after_visits: 3,
@@ -1300,7 +1019,7 @@ mod tests {
             };
             let args = [Val::Int(7), Val::Int(40)];
             let expected = vm.run_plain(&v.base, &args).unwrap();
-            let (got, events) = vm.run_with_deopt(&v, &args, &policy).unwrap();
+            let (got, events) = vm.run_with_deopt(&v, &args, &policy, None).unwrap();
             assert_eq!(got, expected, "continuation={use_continuation}");
             assert_eq!(events.len(), 1, "deopt fired");
             assert_eq!(events[0].direction, Direction::Backward);
@@ -1332,7 +1051,7 @@ mod tests {
              }",
             "h",
         );
-        let vm = Vm::new(m);
+        let (vm, v) = (Vm::new(m), Arc::new(v));
         let args = [Val::Int(24), Val::Int(5)];
         let expected = vm.run_plain(&v.base, &args).unwrap();
         let policy = DeoptPolicy {
@@ -1342,7 +1061,7 @@ mod tests {
                 use_continuation: true,
             },
         };
-        let (got, events) = vm.run_with_deopt(&v, &args, &policy).unwrap();
+        let (got, events) = vm.run_with_deopt(&v, &args, &policy, None).unwrap();
         assert_eq!(got, expected);
         assert_eq!(events.len(), 1);
     }
@@ -1360,7 +1079,11 @@ mod tests {
             fn observe(&mut self, _at: InstId, _count: usize) -> TierDecision {
                 self.visits += 1;
                 if self.visits == self.fire_at {
-                    TierDecision::TierUp(Arc::clone(&self.versions))
+                    TierDecision::RunToCompletion {
+                        versions: Arc::clone(&self.versions),
+                        direction: Direction::Forward,
+                        table: None,
+                    }
                 } else {
                     TierDecision::Continue
                 }

@@ -4,6 +4,8 @@
 //! version must produce exactly the result of pure-baseline
 //! interpretation.
 
+use std::sync::Arc;
+
 use ssair::interp::Val;
 use ssair::reconstruct::{Direction, Variant};
 use tinyvm::runtime::{DeoptPolicy, TransitionOptions, Vm};
@@ -18,8 +20,9 @@ fn deopt_round_trip_matches_pure_baseline() {
     for name in KERNELS {
         let kernel = workloads::kernel_source(name).expect("kernel exists");
         let module = minic::compile(&kernel.source).expect("kernel compiles");
-        let versions =
-            FunctionVersions::standard(module.get(kernel.entry).expect("entry exists").clone());
+        let versions = Arc::new(FunctionVersions::standard(
+            module.get(kernel.entry).expect("entry exists").clone(),
+        ));
         let vm = Vm::new(module);
         let args: Vec<Val> = kernel.sample_args.iter().map(|n| Val::Int(*n)).collect();
         let expected = vm
@@ -34,7 +37,7 @@ fn deopt_round_trip_matches_pure_baseline() {
                 },
             };
             let (got, events) = vm
-                .run_with_deopt(&versions, &args, &policy)
+                .run_with_deopt(&versions, &args, &policy, None)
                 .expect("deopt run");
             assert_eq!(
                 got, expected,
@@ -65,14 +68,19 @@ fn deopt_round_trip_through_precomputed_table() {
     for name in &["soplex", "fhourstones", "dcraw"] {
         let kernel = workloads::kernel_source(name).expect("kernel exists");
         let module = minic::compile(&kernel.source).expect("kernel compiles");
-        let versions =
-            FunctionVersions::standard(module.get(kernel.entry).expect("entry exists").clone());
-        let table = precompute_entries(&versions.pair(), Direction::Backward, Variant::Avail);
+        let versions = Arc::new(FunctionVersions::standard(
+            module.get(kernel.entry).expect("entry exists").clone(),
+        ));
+        let table = Arc::new(precompute_entries(
+            &versions.pair(),
+            Direction::Backward,
+            Variant::Avail,
+        ));
         let vm = Vm::new(module);
         let args: Vec<Val> = kernel.sample_args.iter().map(|n| Val::Int(*n)).collect();
         let expected = vm.run_plain(&versions.base, &args).expect("baseline");
         let (got, events) = vm
-            .run_with_deopt_table(&versions, &args, &DeoptPolicy::default(), &table)
+            .run_with_deopt(&versions, &args, &DeoptPolicy::default(), Some(&table))
             .expect("deopt run");
         assert_eq!(got, expected, "{name}: table-served deopt round-trip");
         fired += events.len();
